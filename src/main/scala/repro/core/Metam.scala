@@ -59,7 +59,6 @@ final case class MetamConfig(
     groupRoundsPerSize: Int = 8,
     minGain: Double = 1e-9,
     maxSweepSize: Int = 8,
-    verbose: Boolean = false,
 )
 
 /** Algorithm 1: METAM's adaptive interventional querying strategy. */
@@ -125,7 +124,8 @@ object Metam {
             blocked += clusterOf(c)
             probed += ((c, u1))
             val maxU = probed.map(_._2).max
-            continue = probed.size < tau || maxU <= uD + cfg.minGain
+            // A probe that reaches θ ends the round: committing it ends the search.
+            continue = (probed.size < tau || maxU <= uD + cfg.minGain) && u1 < cfg.theta
             if (probed.size >= 2 * tau) continue = false // bounded fallback round
           }
         }
@@ -144,13 +144,6 @@ object Metam {
         }
 
         // ----- commit P'_max if it improves utility.
-        if (cfg.verbose) {
-          val gains = probed.count(_._2 > uD + cfg.minGain)
-          Console.err.println(
-            f"[metam] round: probes=${probed.size} gains=$gains uD=$uD%.3f " +
-            f"queries=${util.queries} tau=$tau |C|=${clustering.nClusters} " +
-            s"probedTables=${probed.take(6).map(_._1.table).mkString(",")}")
-        }
         if (probed.nonEmpty) {
           val (cb, ub) = probed.maxBy { case (c, u) => (u, -c.id) }
           if (ub > uD + cfg.minGain) {

@@ -7,8 +7,8 @@ import repro.discovery.JoinDiscovery
 import repro.lake.Scenario
 import repro.profile.{Profiler, Profiles}
 
-/** End-to-end orchestration of one scenario: discovery → profiling →
-  * prefetch → run METAM and the baselines under a shared query budget.
+/** End-to-end orchestration of one scenario: discovery → prefetch and
+  * profiling → run METAM and the baselines under a shared query budget.
   * The augment engine (and its memoised Γ materialisations) is shared
   * across methods — a query's *count* is per-method, its join is paid
   * once, exactly as one server-side cache would serve all competitors.
@@ -25,15 +25,15 @@ object Runner {
       results: Map[String, SearchResult],
   )
 
-  /** Discover and profile candidates for `scenario` (no querying yet). */
+  /** Discover, prefetch and profile candidates for `scenario` (no querying yet). */
   def prepare(spark: SparkSession, scenario: Scenario,
               minContainment: Double = 0.03, maxHops: Int = 1,
              ): (AugmentEngine, Vector[Candidate], Profiles) = {
     val engine = new AugmentEngine(spark, scenario.input, scenario.lake)
     val candidates = JoinDiscovery.candidatesFor(spark, scenario.input, scenario.lake, minContainment, maxHops)
     require(candidates.nonEmpty, s"discovery produced no candidates for ${scenario.spec.name}")
+    // Profiling prefetches every candidate's Γ column into the engine.
     val profiles = Profiler.profileAll(spark, engine, candidates, scenario.profileTargetCol)
-    engine.prefetch(candidates)
     (engine, candidates, profiles)
   }
 

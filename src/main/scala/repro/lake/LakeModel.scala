@@ -23,8 +23,8 @@ final case class TableMeta(
 /** A column-oriented table small enough to keep a driver-side copy.
   *
   * The driver copy is the ground truth used by the deterministic task
-  * implementations; `toDf` is the Spark adapter used by discovery,
-  * profiling, and augmentation joins. Values are stored as strings so one
+  * implementations; `toDf` is the Spark adapter used by discovery and
+  * augmentation joins. Values are stored as strings so one
   * representation serves numeric columns, join keys, and entity names.
   */
 final case class LakeTable(
@@ -99,8 +99,9 @@ final case class Lake(tables: Vector[LakeTable]) {
   }
 
   /** Tall (table, valueCol, key, value) view pairing each non-key column
-    * with the table's first key column — the batched input for profiling
-    * all candidates in a constant number of Spark jobs.
+    * with the table's first key column — the input of
+    * `AugmentEngine.prefetch`, which materialises every 1-hop candidate
+    * through that key with one join per join column of `D_in`.
     */
   def valueCellsDf(spark: SparkSession): DataFrame = {
     val schema = StructType(Seq(

@@ -1,9 +1,6 @@
 package repro.profile
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{DoubleType, StringType, StructField, StructType}
+import org.apache.spark.sql.SparkSession
 import scala.util.hashing.MurmurHash3
 
 import repro.core.{AugmentEngine, Candidate}
@@ -42,12 +39,12 @@ object Profiler {
 
   /** Compute the profile vector of every candidate.
     *
-    * All 1-hop candidates joining through their table's primary key are
-    * profiled in a constant number of Spark jobs over the lake's tall cell
-    * view (join with the input sample → dedup → `corr`/count aggregation,
-    * plus an equi-rank binned histogram for MI). Remaining candidates
-    * (multi-hop paths) are materialised through the engine and profiled
-    * with the identical driver-side estimators.
+    * One driver-side path for every candidate, 1-hop or multi-hop:
+    * `engine.prefetch` materialises the Γ columns (batched Spark jobs,
+    * memoised ones skipped), then corr, MI and overlap are computed on the
+    * sampled rows of each column with the estimators in [[Stats]]. The
+    * driver sums in a fixed order, so the profiles do not depend on Spark
+    * partitioning. `spark` is unused; it is kept for callers' signatures.
     */
   def profileAll(
       spark: SparkSession,
@@ -61,36 +58,17 @@ object Profiler {
     val input = engine.input
     val idx = sampleIndices(input.nRows, sampleSize, seed)
     val target = input.numeric(targetCol)
-
-    val (batchable, _) = cands.partition { c =>
-      c.hops == 1 &&
-        engine.lake.table(c.edges.head.rightTable).meta.keyCols.headOption.contains(c.edges.head.rightKeyCol)
-    }
-    val batchableIds = batchable.map(_.id).toSet
-
-    val fromBatch: Map[(String, String, String), (Double, Double, Double)] =
-      if (batchable.isEmpty) Map.empty
-      else batchable.groupBy(_.edges.head.leftCol).flatMap { case (leftCol, cs) =>
-        batchProfiles(spark, engine, cs, leftCol, targetCol, idx, bins)
-          .map { case ((t, vc), v) => (leftCol, t, vc) -> v }
-      }
+    val ys = idx.map(i => target(i))
+    engine.prefetch(cands)
 
     val byId = cands.map { c =>
-      val (corrV, miV, overlapV) =
-        if (batchableIds.contains(c.id))
-          fromBatch.getOrElse((c.edges.head.leftCol, c.table, c.valueCol), (0.0, 0.0, 0.0))
-        else {
-          val colVals = engine.column(c)
-          val xs = idx.map(i => colVals(i).flatMap(_.toDoubleOption))
-          val ys = idx.map(i => target(i))
-          // Overlap counts joined values even when not numeric.
-          val matched = idx.count(i => colVals(i).isDefined)
-          (
-            math.abs(Stats.pearson(xs, ys)),
-            Stats.normalizedMutualInformation(xs, ys, bins),
-            matched.toDouble / idx.length,
-          )
-        }
+      val colVals = engine.column(c)
+      val xs = idx.map(i => colVals(i).flatMap(_.toDoubleOption))
+      val corrV = math.abs(Stats.pearson(xs, ys))
+      val miV = Stats.rankMutualInformation(xs, ys, bins)
+      // Overlap counts joined values even when not numeric.
+      val matched = idx.count(i => colVals(i).isDefined)
+      val overlapV = if (idx.isEmpty) 0.0 else matched.toDouble / idx.length
       val tMeta = engine.lake.table(c.table).meta
       val embedV = TokenEmbedding.similarity(
         input.meta.vocabulary ++ input.columnNames,
@@ -117,101 +95,5 @@ object Profiler {
       if (tokensA.isEmpty || tokensB.isEmpty) 0.0
       else tokensA.intersect(tokensB).size.toDouble / tokensA.union(tokensB).size
     0.5 * jac + 0.5 * (if (aSource == bSource) 1.0 else 0.0)
-  }
-
-  /** One batched pass over all candidates sharing `leftCol`: returns
-    * (table, valueCol) → (|corr|, normalised MI, overlap fraction).
-    */
-  private def batchProfiles(
-      spark: SparkSession,
-      engine: AugmentEngine,
-      cs: Seq[Candidate],
-      leftCol: String,
-      targetCol: String,
-      idx: Array[Int],
-      bins: Int,
-  ): Map[(String, String), (Double, Double, Double)] = {
-    val input = engine.input
-    val keys = input.column(leftCol)
-    val target = input.numeric(targetCol)
-    val sampleSchema = StructType(Seq(
-      StructField("skey", StringType, nullable = true),
-      StructField("target", DoubleType, nullable = true),
-    ))
-    val sampleRows = idx.toSeq.map { i =>
-      Row(keys(i).orNull, target(i).map(Double.box).orNull)
-    }
-    val sampleDf = spark.createDataFrame(spark.sparkContext.parallelize(sampleRows, 2), sampleSchema)
-
-    val tables = cs.map(_.table).distinct
-    val cells = engine.lake.valueCellsDf(spark).where(col("table").isin(tables: _*))
-
-    // Dedup duplicate join keys exactly like AugmentEngine (min per key).
-    // Overlap counts every joined (string) value; corr/MI use only the
-    // numerically-parseable subset (try_cast — entity columns etc. stay
-    // joinable but contribute no correlation signal).
-    val dedup = sampleDf
-      .join(cells, sampleDf("skey") === cells("key"))
-      .groupBy(col("table"), col("valueCol"), col("skey"), col("target"))
-      .agg(min(col("value")).as("vs"))
-      .where(col("vs").isNotNull && col("target").isNotNull)
-      .withColumn("v", expr("try_cast(vs AS DOUBLE)"))
-      .cache()
-
-    // Correlation from sufficient statistics (computed distributedly, the
-    // final ratio guarded on the driver) — Spark's `corr` divides by the
-    // variance and throws under ANSI mode when a small matched group is
-    // constant.
-    val statsRows = dedup
-      .groupBy("table", "valueCol")
-      .agg(
-        countDistinct(col("skey")).as("matchedKeys"),
-        count(col("v")).as("n"),
-        sum(col("v")).as("sx"),
-        sum(col("v") * col("v")).as("sxx"),
-        sum(when(col("v").isNotNull, col("target"))).as("sy"),
-        sum(when(col("v").isNotNull, col("target") * col("target"))).as("syy"),
-        sum(col("v") * col("target")).as("sxy"),
-      )
-      .collect()
-
-    val numeric = dedup.where(col("v").isNotNull)
-    val wv = Window.partitionBy("table", "valueCol").orderBy("v")
-    val wt = Window.partitionBy("table", "valueCol").orderBy("target")
-    val histRows = numeric
-      .withColumn("bx", least(lit(bins - 1), floor(percent_rank().over(wv) * bins)).cast("int"))
-      .withColumn("by", least(lit(bins - 1), floor(percent_rank().over(wt) * bins)).cast("int"))
-      .groupBy("table", "valueCol", "bx", "by")
-      .agg(count(lit(1)).as("c"))
-      .collect()
-    dedup.unpersist()
-
-    val hists = histRows
-      .groupBy(r => (r.getString(0), r.getString(1)))
-      .view
-      .mapValues(_.map(r => (r.getInt(2), r.getInt(3), r.getLong(4))).toSeq)
-      .toMap
-
-    statsRows.map { r =>
-      val k = (r.getString(0), r.getString(1))
-      val matchedKeys = r.getLong(2)
-      val n = r.getLong(3)
-      val corrV =
-        if (n < 3 || r.isNullAt(4)) 0.0
-        else {
-          val nn = n.toDouble
-          val sx = r.getDouble(4); val sxx = r.getDouble(5)
-          val sy = r.getDouble(6); val syy = r.getDouble(7)
-          val sxy = r.getDouble(8)
-          val varX = nn * sxx - sx * sx
-          val varY = nn * syy - sy * sy
-          if (varX < 1e-12 || varY < 1e-12) 0.0
-          else math.abs((nn * sxy - sx * sy) / math.sqrt(varX * varY))
-        }
-      val miV =
-        if (n < 4) 0.0
-        else hists.get(k).map(h => Stats.miFromJointCounts(h, bins) / math.log(bins.toDouble)).getOrElse(0.0)
-      k -> ((corrV, miV, matchedKeys.toDouble / idx.length))
-    }.toMap
   }
 }

@@ -2,9 +2,9 @@ package repro.util
 
 /** Driver-side statistics shared by profiles, tasks, and quality scoring.
   *
-  * All estimators here are deterministic pure functions; the Spark-side
-  * equivalents (e.g. `corr` over a candidate join) are verified against
-  * these in the test suites so the two code paths cannot drift.
+  * All estimators here are deterministic pure functions that sum in a
+  * fixed order, so their results do not depend on how the input was
+  * computed or partitioned.
   */
 object Stats {
 
@@ -23,9 +23,15 @@ object Stats {
     * Returns 0.0 when either side is (near-)constant or <3 pairs exist.
     */
   def pearson(xs: Array[Option[Double]], ys: Array[Option[Double]]): Double = {
+    val (x, y) = completePairs(xs, ys)
+    pearsonComplete(x, y)
+  }
+
+  /** The entries of `xs` / `ys` where both sides are present, in order. */
+  private def completePairs(xs: Array[Option[Double]], ys: Array[Option[Double]]): (Array[Double], Array[Double]) = {
     require(xs.length == ys.length, s"length mismatch ${xs.length} vs ${ys.length}")
     val pairs = xs.indices.collect { case i if xs(i).isDefined && ys(i).isDefined => (xs(i).get, ys(i).get) }
-    pearsonComplete(pairs.map(_._1).toArray, pairs.map(_._2).toArray)
+    (pairs.map(_._1).toArray, pairs.map(_._2).toArray)
   }
 
   /** Pearson correlation over fully-observed vectors. */
@@ -67,34 +73,8 @@ object Stats {
     if (x >= 0) y else -y
   }
 
-  /** Mutual information (nats) of the equi-width binned joint histogram of
-    * the pairwise-complete entries; `bins` per axis. Nonnegative.
-    */
-  def binnedMutualInformation(xs: Array[Option[Double]], ys: Array[Option[Double]], bins: Int = 8): Double = {
-    require(bins >= 2, "need at least 2 bins")
-    val pairs = xs.indices.collect { case i if xs(i).isDefined && ys(i).isDefined => (xs(i).get, ys(i).get) }
-    if (pairs.length < 4) return 0.0
-    val x = pairs.map(_._1).toArray; val y = pairs.map(_._2).toArray
-    def binOf(v: Double, lo: Double, hi: Double): Int =
-      if (hi - lo < 1e-12) 0
-      else math.min(bins - 1, ((v - lo) / (hi - lo) * bins).toInt)
-    val (xlo, xhi) = (x.min, x.max); val (ylo, yhi) = (y.min, y.max)
-    val joint = Array.ofDim[Int](bins, bins)
-    pairs.foreach { case (a, b) => joint(binOf(a, xlo, xhi))(binOf(b, ylo, yhi)) += 1 }
-    val n  = pairs.length.toDouble
-    val px = joint.map(_.sum / n)
-    val py = (0 until bins).map(j => joint.map(_(j)).sum / n).toArray
-    var mi = 0.0
-    for (i <- 0 until bins; j <- 0 until bins) {
-      val pij = joint(i)(j) / n
-      if (pij > 0 && px(i) > 0 && py(j) > 0) mi += pij * math.log(pij / (px(i) * py(j)))
-    }
-    math.max(0.0, mi)
-  }
-
-  /** MI (nats) from a sparse joint histogram of (binX, binY, count) —
-    * shared by the Spark batched profiler (equi-rank bins computed
-    * distributedly) and its driver-side twin used in tests.
+  /** MI (nats) from a sparse joint histogram of (binX, binY, count).
+    * Nonnegative; 0.0 when the histogram holds fewer than 4 pairs.
     */
   def miFromJointCounts(cells: Seq[(Int, Int, Long)], bins: Int): Double = {
     val n = cells.map(_._3).sum.toDouble
@@ -110,8 +90,8 @@ object Stats {
   }
 
   /** Equi-rank (equal-frequency) bin assignment used by the MI profile:
-    * bin = floor(percent_rank * bins), capped at bins-1 — mirrors the
-    * Spark window expression in the batched profiler.
+    * bin = floor(percent_rank * bins), capped at bins-1, where
+    * percent_rank = (rank of the first tied value) / (n-1), as in SQL.
     */
   def rankBins(values: Array[Double], bins: Int): Array[Int] = {
     val n = values.length
@@ -132,9 +112,20 @@ object Stats {
     ranks
   }
 
-  /** Normalised MI in [0,1]: MI / log(bins) (log(bins) bounds the binned MI). */
-  def normalizedMutualInformation(xs: Array[Option[Double]], ys: Array[Option[Double]], bins: Int = 8): Double =
-    math.min(1.0, binnedMutualInformation(xs, ys, bins) / math.log(bins.toDouble))
+  /** Normalised mutual information in [0,1] of the pairwise-complete
+    * entries of `xs` / `ys`: both sides equi-rank binned (`rankBins`), MI
+    * of the joint histogram divided by log(bins), which bounds it. 0.0 when
+    * fewer than 4 pairs exist. This is the MI profile's estimator.
+    */
+  def rankMutualInformation(xs: Array[Option[Double]], ys: Array[Option[Double]], bins: Int = 8): Double = {
+    require(bins >= 2, "need at least 2 bins")
+    val (x, y) = completePairs(xs, ys)
+    val bx = rankBins(x, bins)
+    val by = rankBins(y, bins)
+    val cells = bx.indices.groupMapReduce(i => (bx(i), by(i)))(_ => 1L)(_ + _)
+      .toSeq.sorted.map { case ((i, j), c) => (i, j, c) }
+    miFromJointCounts(cells, bins) / math.log(bins.toDouble)
+  }
 
   /** Binary F1 for the positive label `1.0`; 0.0 when precision+recall = 0. */
   def f1(predicted: Array[Double], actual: Array[Double]): Double = {

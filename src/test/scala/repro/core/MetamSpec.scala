@@ -36,6 +36,20 @@ class MetamSpec extends SparkSpec {
     assert(res.queriesUsed < 100)
   }
 
+  test("a probe that reaches theta ends the probe round") {
+    // Every candidate is its own cluster and tau allows 20 probes, but the
+    // first probe (the top-profiled candidate) already reaches theta. With
+    // a budget of 5, probing on after it would spend the budget before the
+    // commit and return the base utility.
+    val env = TestEnv.build(spark, 20, s => if (s.contains(0)) 0.95 else 0.1,
+      i => if (i == 0) Array(0.9, 0.9, 0.9, 0.9, 0.9) else Array(0.3, 0.3, 0.3, 0.3, 0.3))
+    val res = Metam.run(env.cands, env.profiles, env.util(5),
+      MetamConfig(theta = 0.9, tau = 20, seed = 14, useClustering = false))
+    assert(res.utility >= 0.9, s"got ${res.utility} with ${res.queriesUsed} queries")
+    assert(res.solution.map(_.id) == Vector(0))
+    assert(res.queriesUsed <= 3)
+  }
+
   test("respects the query budget and returns best-so-far") {
     val env = plantedEnv(40)
     val res = Metam.run(env.cands, env.profiles, env.util(10), MetamConfig(theta = 0.95, seed = 6))

@@ -105,19 +105,70 @@ class ProfilerSpec extends SparkSpec {
     assert(Profiler.metadataSimilarity(Set.empty, "a", Set("x"), "a") == 0.5)
   }
 
-  test("batched and fallback profiling agree on the same candidate") {
-    val lake = Lake(Vector(correlated))
-    val engine = new AugmentEngine(spark, input, lake)
-    val c1 = Candidate(0, Vector(JoinEdge("key", "corr_t", "key")), "v")
-    val batched = Profiler.profileAll(spark, engine, Vector(c1), "target")
-    // Force the fallback path by renaming the table's key columns metadata.
-    val lake2 = Lake(Vector(correlated.copy(meta = correlated.meta.copy(keyCols = Vector("nope", "key")))))
-    val engine2 = new AugmentEngine(spark, input, lake2)
-    val fb = Profiler.profileAll(spark, engine2, Vector(c1), "target")
-    val ci = batched.profileIndex("corr")
-    val oi = batched.profileIndex("overlap")
-    assert(math.abs(batched.of(c1)(ci) - fb.of(c1)(ci)) < 1e-6)
-    assert(math.abs(batched.of(c1)(oi) - fb.of(c1)(oi)) < 1e-6)
+  test("2-hop and equivalent 1-hop candidates share corr, MI and overlap") {
+    // key → bridge_t.ref → end_t.v yields exactly corr_t's column v on the
+    // first 90 keys, so every sample-based profile must agree.
+    val m = 90
+    val refs = Array.tabulate(n)(i => f"R$i%03d")
+    val bridge = LakeTable(TableMeta("bridge_t", "src", Vector("key"), Vector("bridge")),
+      Vector("key" -> keys.map(Option(_)), "ref" -> refs.map(Option(_))))
+    val end = LakeTable(TableMeta("end_t", "src", Vector("ref"), Vector("end")),
+      Vector("ref" -> refs.take(m).map(Option(_)), "v" -> correlated.column("v").take(m)))
+    val direct = LakeTable(correlated.meta, Vector("key" -> keys.take(m).map(Option(_)), "v" -> correlated.column("v").take(m)))
+    val engine = new AugmentEngine(spark, input, Lake(Vector(direct, bridge, end)))
+    val oneHop = Candidate(0, Vector(JoinEdge("key", "corr_t", "key")), "v")
+    val twoHop = Candidate(1, Vector(JoinEdge("key", "bridge_t", "key"), JoinEdge("ref", "end_t", "ref")), "v")
+    val prof = Profiler.profileAll(spark, engine, Vector(oneHop, twoHop), "target")
+    val differing = Seq("corr", "mi", "overlap").map(prof.profileIndex).filter(i => prof.of(oneHop)(i) != prof.of(twoHop)(i))
+    assert(differing.isEmpty, differing.map(i => s"${prof.names(i)}: ${prof.of(oneHop)(i)} vs ${prof.of(twoHop)(i)}"))
+    assert(prof.of(oneHop)(prof.profileIndex("overlap")) < 1.0)
+  }
+
+  test("profiles equal a hand computation from the raw tables") {
+    // Duplicate join keys (the engine keeps the min value per key) and a
+    // non-numeric column (joined for overlap, absent from corr and MI).
+    val dups = LakeTable(TableMeta("dup_t", "other", Vector("key"), Vector("price", "dup")),
+      Vector("key" -> (keys ++ keys.take(40)).map(Option(_)),
+        "d" -> (target.map(_ + 1.0) ++ Array.fill(40)(rnd.nextGaussian())).map(v => Option(v.toString))))
+    val names = LakeTable(TableMeta("name_t", "src", Vector("key"), Vector("name")),
+      Vector("key" -> keys.map(Option(_)), "name" -> keys.map(k => Option(s"entity $k"))))
+    val tables = Vector(correlated, noise, partial, dups, names)
+    val (cands, prof) = profilesFor(tables: _*)
+
+    val idx = Profiler.sampleIndices(n, 100, 17)
+    val ys = idx.map(i => input.numeric("target")(i))
+    val inKeys = input.column("key")
+    cands.zip(tables).foreach { case (c, t) =>
+      val tKeys = t.column("key")
+      val vals = t.column(c.valueCol)
+      val joined = idx.map { i =>
+        tKeys.indices.filter(r => tKeys(r) == inKeys(i)).flatMap(r => vals(r)).minOption
+      }
+      val xs = joined.map(_.flatMap(_.toDoubleOption))
+      val complete = idx.indices.filter(k => xs(k).isDefined && ys(k).isDefined)
+      val bx = Stats.rankBins(complete.map(k => xs(k).get).toArray, 8)
+      val by = Stats.rankBins(complete.map(k => ys(k).get).toArray, 8)
+      val cells = bx.indices.groupMapReduce(k => (bx(k), by(k)))(_ => 1L)(_ + _)
+        .toSeq.sorted.map { case ((a, b), cnt) => (a, b, cnt) }
+      val expected = Array(
+        math.abs(Stats.pearson(xs, ys)),
+        Stats.miFromJointCounts(cells, 8) / math.log(8.0),
+        TokenEmbedding.similarity(input.meta.vocabulary ++ input.columnNames, t.meta.vocabulary ++ t.columnNames),
+        Profiler.metadataSimilarity(input.columnNames.toSet, input.meta.source, t.columnNames.toSet, t.meta.source),
+        joined.count(_.isDefined).toDouble / idx.length,
+      ).map(Stats.clamp01)
+      assert(prof.of(c).toSeq == expected.toSeq, s"${t.meta.name}")
+    }
+    val nameProf = prof.of(cands(4))
+    assert(nameProf(prof.profileIndex("overlap")) == 1.0 && nameProf(prof.profileIndex("corr")) == 0.0)
+  }
+
+  test("an input without rows gets all-zero sample profiles") {
+    val empty = LakeTable(input.meta, input.columns.map { case (name, _) => name -> Array.empty[Option[String]] })
+    val engine = new AugmentEngine(spark, empty, Lake(Vector(correlated)))
+    val c = Candidate(0, Vector(JoinEdge("key", "corr_t", "key")), "v")
+    val prof = Profiler.profileAll(spark, engine, Vector(c), "target")
+    Seq("corr", "mi", "overlap").foreach(p => assert(prof.of(c)(prof.profileIndex(p)) == 0.0, p))
   }
 
   test("sampleIndices is deterministic, sorted and bounded") {

@@ -94,28 +94,41 @@ class StatsSpec extends AnyFunSuite with PropSupport {
     val rnd = new scala.util.Random(3)
     val x = some(Array.fill(2000)(rnd.nextGaussian()): _*)
     val y = some(Array.fill(2000)(rnd.nextGaussian()): _*)
-    assert(Stats.binnedMutualInformation(x, y) < 0.08)
+    assert(Stats.rankMutualInformation(x, y) < 0.08)
   }
 
   test("MI of identical variable is large") {
     val x = some((1 to 200).map(_.toDouble): _*)
-    assert(Stats.binnedMutualInformation(x, x) > 1.0)
+    assert(Stats.rankMutualInformation(x, x) > 0.99)
   }
 
   test("MI nonnegative") {
     checkProp(Prop.forAll(Gen.listOfN(30, Gen.choose(-5.0, 5.0)), Gen.listOfN(30, Gen.choose(-5.0, 5.0))) { (a, b) =>
-      Stats.binnedMutualInformation(some(a: _*), some(b: _*)) >= 0.0
+      Stats.rankMutualInformation(some(a: _*), some(b: _*)) >= 0.0
     })
   }
 
   test("normalized MI within [0,1]") {
-    val x = some((1 to 100).map(_.toDouble): _*)
-    val nmi = Stats.normalizedMutualInformation(x, x)
-    assert(nmi >= 0.0 && nmi <= 1.0)
+    checkProp(Prop.forAll(Gen.listOfN(40, Gen.choose(-5.0, 5.0)), Gen.listOfN(40, Gen.choose(-5.0, 5.0))) { (a, b) =>
+      val x = some(a: _*)
+      Seq(Stats.rankMutualInformation(x, some(b: _*)), Stats.rankMutualInformation(x, x))
+        .forall(v => v >= 0.0 && v <= 1.0 + 1e-12)
+    })
   }
 
   test("MI with fewer than 4 pairs is 0") {
-    assert(Stats.binnedMutualInformation(some(1, 2, 3), some(1, 2, 3)) == 0.0)
+    assert(Stats.rankMutualInformation(some(1, 2, 3), some(1, 2, 3)) == 0.0)
+    val x: Array[Option[Double]] = Array(Some(1.0), None, Some(2.0), Some(3.0), None)
+    assert(Stats.rankMutualInformation(x, some(1, 2, 3, 4, 5)) == 0.0)
+  }
+
+  test("MI depends only on ranks") {
+    val rnd = new scala.util.Random(5)
+    val a = Array.fill(100)(rnd.nextGaussian())
+    val b = a.map(v => v + 0.5 * rnd.nextGaussian())
+    val mi = Stats.rankMutualInformation(some(a: _*), some(b: _*))
+    assert(mi > 0.1)
+    assert(Stats.rankMutualInformation(some(a.map(math.exp): _*), some(b.map(_ * 3.0 - 7.0): _*)) == mi)
   }
 
   test("miFromJointCounts matches direct MI for a simple histogram") {
