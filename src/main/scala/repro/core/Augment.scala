@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.{broadcast, col, min => sparkMin}
 import scala.collection.mutable
 
-import repro.lake.{Lake, LakeTable, LocalTable}
+import repro.lake.{Lake, LakeTable, LocalColumn, LocalTable}
 
 /** One hop of a join path (Definition 3): join the previous table's
   * `leftCol` with `rightTable.rightKeyCol`.
@@ -37,11 +37,14 @@ final case class Candidate(id: Int, edges: Vector[JoinEdge], valueCol: String) {
   * `min` is deterministic and matches what the DuckDB oracle computes).
   * Materialised columns are memoised: Γ(D_in, T ∪ {P}) shares P's column
   * with every other selection containing P, so a 1000-query search loop
-  * issues each join once.
+  * issues each join once. Each memoised column and each input column keeps
+  * its numeric view (parsed on the first task that reads it), so a column
+  * is parsed once per engine, not once per query.
   */
 final class AugmentEngine(spark: SparkSession, val input: LakeTable, val lake: Lake) {
 
-  private val memo = mutable.HashMap.empty[Int, Array[Option[String]]]
+  private val memo = mutable.HashMap.empty[Int, LocalColumn]
+  private val inputColumns = input.columns.map { case (n, v) => n -> new LocalColumn(v) }
 
   /** Number of Spark materialisation jobs issued (for efficiency tests). */
   def materializations: Int = memo.size
@@ -66,13 +69,15 @@ final class AugmentEngine(spark: SparkSession, val input: LakeTable, val lake: L
   }
 
   /** Materialised column of `c`, aligned to `input` row order; memoised. */
-  def column(c: Candidate): Array[Option[String]] = memo.getOrElseUpdate(c.id, {
+  def column(c: Candidate): Array[Option[String]] = localColumn(c).values
+
+  private def localColumn(c: Candidate): LocalColumn = memo.getOrElseUpdate(c.id, {
     val out = Array.fill[Option[String]](input.nRows)(None)
     materializeDf(c).collect().foreach { r =>
       val i = r.getLong(0).toInt
       if (i >= 0 && i < out.length) out(i) = Option(r.get(1)).map(_.toString)
     }
-    out
+    new LocalColumn(out)
   })
 
   /** Batch-materialise every 1-hop candidate in one Spark job: the tall
@@ -113,7 +118,7 @@ final class AugmentEngine(spark: SparkSession, val input: LakeTable, val lake: L
           }
         }
         wanted.foreach { case (t, vc, c) =>
-          memo(c.id) = buf.getOrElse((t, vc), Array.fill[Option[String]](input.nRows)(None))
+          memo(c.id) = new LocalColumn(buf.getOrElse((t, vc), Array.fill[Option[String]](input.nRows)(None)))
         }
       }
     }
@@ -124,7 +129,7 @@ final class AugmentEngine(spark: SparkSession, val input: LakeTable, val lake: L
     * selected candidate, aligned on `__rowid`.
     */
   def localTable(sel: Seq[Candidate]): LocalTable =
-    LocalTable(input.columns ++ sel.toVector.map(c => c.name -> column(c)))
+    new LocalTable(inputColumns ++ sel.toVector.map(c => c.name -> localColumn(c)))
 
   /** Γ(D_in, sel) as a Spark DataFrame — the distributed equivalent of
     * `localTable` (tests assert the two agree row for row).

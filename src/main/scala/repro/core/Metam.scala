@@ -110,8 +110,8 @@ object Metam {
         var continue = true
         while (continue) {
           val avail = cands.filter { c =>
-            !inSolution.contains(c.id) && !probed.exists(_._1.id == c.id) &&
-              !queriedSingles.contains(c.id) && !blocked.contains(clusterOf(c))
+            // queriedSingles holds every candidate probed this round.
+            !inSolution.contains(c.id) && !queriedSingles.contains(c.id) && !blocked.contains(clusterOf(c))
           }
           if (avail.isEmpty) continue = false
           else {

@@ -32,8 +32,15 @@ final class QualityScores(
     (0 until clustering.nClusters).map(cl => cl -> clustering.members(cl).map(cands(_))).toMap
 
   private var weights: Array[Double] = Array.fill(l)(1.0 / l)
+  private var weightSum: Double = weights.map(math.abs).sum
   private val observedGain = mutable.HashMap.empty[Int, Double] // candidate id → gain
   private val inhomogeneous = mutable.Set.empty[Int]            // cluster ids
+
+  // Both score parts of every candidate, by index in `cands`: profile
+  // scores change only when the weights are refit, utility scores only
+  // when their own cluster gets an observation.
+  private val profileScores: Array[Double] = cands.map(profileScore).toArray
+  private val utilityScores: Array[Double] = new Array[Double](cands.length) // nothing observed yet
 
   def weightsSnapshot: Array[Double] = weights.clone()
   def isInhomogeneous(cluster: Int): Boolean = inhomogeneous.contains(cluster)
@@ -52,6 +59,7 @@ final class QualityScores(
     val memberGains = membersOf(cl).flatMap(m => observedGain.get(m.id))
     if (memberGains.size >= 2 && memberGains.max - memberGains.min > homogeneityTolerance)
       inhomogeneous += cl
+    membersOf(cl).foreach(m => utilityScores(index(m.id)) = utilityScore(m))
   }
 
   /** Weighted-average profile score (the prior from dataset properties).
@@ -61,9 +69,8 @@ final class QualityScores(
     */
   def profileScore(c: Candidate): Double = {
     val p = profiles.of(c)
-    val wsum = weights.map(math.abs).sum
-    if (wsum < 1e-12) Stats.mean(p)
-    else LinAlg.dot(weights, p) / wsum
+    if (weightSum < 1e-12) Stats.mean(p)
+    else LinAlg.dot(weights, p) / weightSum
   }
 
   /** Propagated utility score (0 when nothing relevant was observed). */
@@ -81,7 +88,10 @@ final class QualityScores(
   }
 
   /** Total quality score = profile-based + utility-based. */
-  def score(c: Candidate): Double = profileScore(c) + utilityScore(c)
+  def score(c: Candidate): Double = {
+    val i = index(c.id)
+    profileScores(i) + utilityScores(i)
+  }
 
   /** Ridge refit of profile importances once enough observations exist
     * (the closed-form estimator of Lemma 4). Coefficients keep their sign;
@@ -95,5 +105,7 @@ final class QualityScores(
     val coef = LinAlg.ridge(x, y, ridgeLambda)
     val s = coef.map(math.abs).sum
     weights = if (s < 1e-12) Array.fill(l)(1.0 / l) else coef.map(_ / s)
+    weightSum = weights.map(math.abs).sum
+    cands.indices.foreach(i => profileScores(i) = profileScore(cands(i)))
   }
 }

@@ -121,37 +121,43 @@ final case class Lake(tables: Vector[LakeTable]) {
   }
 }
 
-/** Column-oriented local view of an (augmented) dataset — what the
-  * deterministic black-box tasks consume. `fromDf` adapts any Spark
-  * DataFrame, so a task can equally be fed a distributed table.
+/** A driver-side column: its string cells and their numeric view, which is
+  * parsed on first use and then kept, so every table sharing the column
+  * parses it once.
   */
-final case class LocalTable(columns: Vector[(String, Array[Option[String]])]) {
-  require(columns.map(_._2.length).distinct.size <= 1, "ragged columns")
+final class LocalColumn(val values: Array[Option[String]]) {
 
-  def nRows: Int = if (columns.isEmpty) 0 else columns.head._2.length
-  def columnNames: Vector[String] = columns.map(_._1)
-  def has(name: String): Boolean = columns.exists(_._1 == name)
+  /** The cells as doubles: a missing cell or one that does not parse is None. */
+  lazy val numeric: Array[Option[Double]] = values.map(_.flatMap(_.toDoubleOption))
+}
 
-  def column(name: String): Array[Option[String]] =
-    columns.find(_._1 == name).getOrElse(sys.error(s"no column $name"))._2
+/** Column-oriented local view of an (augmented) dataset — what the
+  * deterministic black-box tasks consume.
+  */
+final class LocalTable(cols: Vector[(String, LocalColumn)]) {
+  require(cols.map(_._2.values.length).distinct.size <= 1, "ragged columns")
 
-  def numeric(name: String): Array[Option[Double]] =
-    column(name).map(_.flatMap(_.toDoubleOption))
+  def columns: Vector[(String, Array[Option[String]])] = cols.map { case (n, c) => n -> c.values }
+  def nRows: Int = if (cols.isEmpty) 0 else cols.head._2.values.length
+  def columnNames: Vector[String] = cols.map(_._1)
+  def has(name: String): Boolean = cols.exists(_._1 == name)
+
+  private def find(name: String): LocalColumn =
+    cols.find(_._1 == name).getOrElse(sys.error(s"no column $name"))._2
+
+  def column(name: String): Array[Option[String]] = find(name).values
+
+  def numeric(name: String): Array[Option[Double]] = find(name).numeric
 
   def add(name: String, values: Array[Option[String]]): LocalTable = {
-    require(columns.isEmpty || values.length == nRows, "row count mismatch")
-    LocalTable(columns :+ (name -> values))
+    require(cols.isEmpty || values.length == nRows, "row count mismatch")
+    new LocalTable(cols :+ (name -> new LocalColumn(values)))
   }
 }
 
 object LocalTable {
 
-  /** Collect a DataFrame into a LocalTable (stringly-typed, null→None). */
-  def fromDf(df: DataFrame): LocalTable = {
-    val cols = df.columns.toVector
-    val rows = df.collect()
-    LocalTable(cols.zipWithIndex.map { case (c, i) =>
-      c -> rows.map(r => Option(r.get(i)).map(_.toString))
-    })
-  }
+  /** A table over fresh columns (each parsed on its first numeric use). */
+  def apply(columns: Vector[(String, Array[Option[String]])]): LocalTable =
+    new LocalTable(columns.map { case (n, v) => n -> new LocalColumn(v) })
 }

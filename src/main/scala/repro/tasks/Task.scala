@@ -1,7 +1,5 @@
 package repro.tasks
 
-import org.apache.spark.sql.DataFrame
-
 import repro.lake.LocalTable
 
 /** A downstream task (§II-B): a black box from a dataset to a utility
@@ -14,7 +12,4 @@ trait Task {
 
   /** Utility of the (augmented) dataset. */
   def utility(table: LocalTable): Double
-
-  /** Distributed adapter: evaluate the task over a Spark DataFrame. */
-  final def utilityOf(df: DataFrame): Double = utility(LocalTable.fromDf(df))
 }

@@ -15,11 +15,23 @@ object Tasks {
     */
   def featureColumns(table: LocalTable, excluded: Set[String]): Vector[String] =
     table.columnNames.filterNot(excluded.contains).filter { c =>
-      val vals = table.column(c)
-      val nonNull = vals.count(_.isDefined)
-      val parsed = vals.count(_.exists(_.toDoubleOption.isDefined))
+      val nonNull = table.column(c).count(_.isDefined)
+      val parsed = table.numeric(c).count(_.isDefined)
       parsed >= 3 && nonNull > 0 && parsed.toDouble / nonNull >= 0.9
     }
+
+  /** Forest predictions on the validation rows of a deterministic split,
+    * with the matching targets: the core the forest-backed tasks share.
+    */
+  private def validationPredictions(
+      table: LocalTable, feats: Vector[String], y: Array[Double], validFrac: Double, seed: Long,
+  ): (Array[Double], Array[Double]) = {
+    val x = Learners.designMatrix(feats.map(table.numeric))
+    val (train, valid) = Learners.split(y.length, validFrac, seed)
+    val forest = Learners.trainForest(
+      Learners.selectRows(x, train), Learners.gather(y, train), Learners.ForestConfig(seed = seed))
+    (forest.predict(x, valid), Learners.gather(y, valid))
+  }
 
   /** Supervised classification (paper: random-forest price / schools
     * tasks). Trains a forest on a deterministic split and returns the
@@ -38,11 +50,7 @@ object Tasks {
       val y = table.numeric(targetCol).map(_.getOrElse(0.0))
       val feats = featureColumns(table, excluded + targetCol)
       if (feats.isEmpty) return 0.0
-      val x = Learners.designMatrix(feats.map(table.numeric))
-      val (train, valid) = Learners.split(y.length, validFrac, seed)
-      val forest = Learners.trainForest(train.map(x), train.map(y), Learners.ForestConfig(seed = seed))
-      val pred = valid.map(i => forest.predictRow(x(i)))
-      val actual = valid.map(y)
+      val (pred, actual) = validationPredictions(table, feats, y, validFrac, seed)
       Stats.clamp01(if (useAccuracy) Stats.accuracy(pred, actual) else Stats.f1(pred, actual))
     }
   }
@@ -63,11 +71,8 @@ object Tasks {
       val y = table.numeric(targetCol).map(_.getOrElse(0.0))
       val feats = featureColumns(table, excluded + targetCol)
       if (feats.isEmpty) return 0.0
-      val x = Learners.designMatrix(feats.map(table.numeric))
-      val (train, valid) = Learners.split(y.length, validFrac, seed)
-      val forest = Learners.trainForest(train.map(x), train.map(y), Learners.ForestConfig(seed = seed))
-      val pred = valid.map(i => forest.predictRow(x(i)))
-      Stats.clamp01(1.0 - Stats.mae(pred, valid.map(y)))
+      val (pred, actual) = validationPredictions(table, feats, y, validFrac, seed)
+      Stats.clamp01(1.0 - Stats.mae(pred, actual))
     }
   }
 
@@ -177,10 +182,8 @@ object Tasks {
         math.abs(Stats.pearson(table.numeric(c), sensitive)) <= maxSensitiveCorr
       }
       if (feats.isEmpty) return 0.0
-      val x = Learners.designMatrix(feats.map(table.numeric))
-      val (train, valid) = Learners.split(y.length, validFrac, seed)
-      val forest = Learners.trainForest(train.map(x), train.map(y), Learners.ForestConfig(seed = seed))
-      Stats.clamp01(Stats.f1(valid.map(i => forest.predictRow(x(i))), valid.map(y)))
+      val (pred, actual) = validationPredictions(table, feats, y, validFrac, seed)
+      Stats.clamp01(Stats.f1(pred, actual))
     }
   }
 

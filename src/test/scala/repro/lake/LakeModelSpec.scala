@@ -105,13 +105,6 @@ class LakeModelSpec extends SparkSpec {
     intercept[IllegalArgumentException](lt.add("b", Array(Some("1"), Some("2"))))
   }
 
-  test("LocalTable.fromDf round-trips a LakeTable") {
-    val t = table("t1")
-    val lt = LocalTable.fromDf(t.toDf(spark).orderBy("__rowid").drop("__rowid"))
-    assert(lt.columnNames == Vector("key", "v"))
-    assert(lt.column("v").toSeq == t.column("v").toSeq)
-  }
-
   test("LocalTable numeric view") {
     val lt = LocalTable(Vector("x" -> Array(Some("2.0"), Some("nope"))))
     assert(lt.numeric("x").toSeq == Seq(Some(2.0), None))

@@ -197,14 +197,4 @@ class TasksSpec extends AnyFunSuite {
     val u1 = task.utility(t.add("y", numCol(Array.fill(50)(rnd.nextGaussian()))))
     assert(u1 >= u0 - 1e-12)
   }
-
-  test("utilityOf adapts a Spark DataFrame (LocalTable.fromDf path)") {
-    // Covered indirectly elsewhere; here just check the trait wiring with
-    // a constant task to stay Spark-free.
-    val const = new Task {
-      def name = "const"
-      def utility(t: LocalTable): Double = 0.42
-    }
-    assert(const.utility(LocalTable(Vector.empty)) == 0.42)
-  }
 }
